@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install native test test-fast bench bench-kernels bench-dense \
+.PHONY: install native test test-fast bench bench-kernels \
         bench-cache bench-fleet bench-native bench-prefilter check \
         check-flow check-overhead report examples clean golden
 
@@ -10,7 +10,7 @@ install:
 	$(PYTHON) setup.py develop
 
 # compile the optional native set-flow library into the per-user cache
-# (requires cc/gcc/clang; everything degrades to the dense kernel
+# (requires cc/gcc/clang; everything degrades to the lockstep kernel
 # without it, so this target failing is informative, not fatal)
 native:
 	PYTHONPATH=src $(PYTHON) -m repro.kernels.native --rebuild
@@ -38,14 +38,10 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
-# smoke mode: seconds, no 5x acceptance gate; drop --smoke for the real run
+# smoke mode: seconds, skips the lockstep >=5x acceptance gate and the
+# trivial-partition regression gate; drop --smoke for the real run
 bench-kernels:
 	$(PYTHON) benchmarks/bench_kernels.py --smoke
-
-# dense-frontier kernel vs sparse lockstep; smoke mode skips the >=2x
-# acceptance gate and the trivial-partition regression gate
-bench-dense:
-	$(PYTHON) benchmarks/bench_dense.py --smoke
 
 # compilation cache cold/warm latency + profiler vectorization; smoke mode
 # skips the >=5x cold/warm and >=3x profiler acceptance gates
@@ -57,12 +53,12 @@ bench-cache:
 bench-fleet:
 	$(PYTHON) benchmarks/bench_fleet.py --smoke
 
-# literal-prefilter fast path vs the dense kernel; smoke mode skips the
-# >=3x acceptance gate and the <=1.05x fallback gate
+# literal-prefilter fast path vs the native frontier; smoke mode skips
+# the >=3x acceptance gate and the <=1.05x fallback gate
 bench-prefilter:
 	$(PYTHON) benchmarks/bench_prefilter.py --smoke
 
-# compiled native tier vs the dense kernel; smoke mode skips the >=3x
+# compiled native tier vs lockstep; smoke mode skips the >=20x
 # acceptance gate and tolerates a toolchain-less host
 bench-native:
 	$(PYTHON) benchmarks/bench_native.py --smoke

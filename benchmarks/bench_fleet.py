@@ -9,8 +9,8 @@ per-machine loop, and every machine's demuxed report events are checked
 against its own sequential :meth:`Dfa.run_reports` on a sample prefix.
 
 Gate (full mode only): **sharded fleet throughput >= 3x the per-machine
-loop** on the acceptance config — 64 machines, 1 MB of input, dense
-backend.  Results land in ``BENCH_fleet_sharding.json`` at the
+loop** on the acceptance config — 64 machines, 1 MB of input, native
+backend (lockstep where the library does not load).  Results land in ``BENCH_fleet_sharding.json`` at the
 repository root with an environment-provenance stamp.
 
 Run::
@@ -34,7 +34,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 from env_info import env_info  # noqa: E402 — benchmarks/ sibling module
 
 from repro.fleet import plan_shards
-from repro.kernels import DENSE_MAX_STATES
+from repro.kernels import BACKENDS, NATIVE_MAX_STATES
 from repro.regex.compile import compile_ruleset
 from repro.stream import FleetScanner
 from repro.workloads import generate_ruleset
@@ -120,9 +120,8 @@ def main(argv=None) -> int:
                         help="fleet size for the acceptance config")
     parser.add_argument("--patterns", type=int, default=3,
                         help="literal patterns per machine")
-    parser.add_argument("--backend", default="dense",
-                        choices=["auto", "python", "lockstep", "bitset",
-                                 "dense"])
+    parser.add_argument("--backend", default="native",
+                        choices=["auto", *BACKENDS])
     parser.add_argument("--seed", type=int, default=20180623)
     args = parser.parse_args(argv)
 
@@ -157,7 +156,7 @@ def main(argv=None) -> int:
             "smoke": bool(args.smoke),
             "acceptance_gate": "sharded >= 3x per-machine on the 64-machine "
                                "ExactMatch fleet, demux bit-identical",
-            "dense_max_states": DENSE_MAX_STATES,
+            "native_max_states": NATIVE_MAX_STATES,
             "env": env_info(),
             "results": results,
         },

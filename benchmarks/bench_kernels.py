@@ -6,10 +6,14 @@ Times the per-segment interpreted reference (``run_segment`` with
 profiles, asserts bit-identical outcomes, and writes the results to
 ``BENCH_software_kernels.json`` at the repository root.
 
-The headline configuration — ``random64/discrete`` — is the acceptance
-check of the kernels: a 64-state DFA, 1 MB of input, 16 segments, one
-set-flow per state.  The lockstep kernel must beat the interpreted path
-by >= 5x there (it measures ~10x on a stock laptop core).
+Gates (full mode only):
+
+- **lockstep >= 5x** the interpreted path on the acceptance config
+  ``random64/discrete`` — a 64-state DFA, 1 MB of input, 16 segments,
+  one set-flow per state (recorded: 8.9x on a 2-CPU host);
+- ``random64/trivial`` resolves (``backend="auto"``) to a backend whose
+  measured speedup vs the interpreter is >= 1x (the interpreter itself
+  qualifies: lockstep measured 0.33x there).
 
 Run::
 
@@ -127,13 +131,19 @@ def bench_config(config: Dict, n_segments: int) -> Dict:
         entry[f"{backend}_seconds"] = seconds
         entry[f"{backend}_speedup"] = python_seconds / seconds if seconds else 0.0
         entry[f"{backend}_bit_identical"] = identical
+    # the speedup (vs python) of the backend "auto" actually picks — the
+    # number the trivial-partition regression gate reads
+    auto = entry["auto_backend"]
+    entry["auto_backend_speedup"] = (
+        1.0 if auto == "python" else entry[f"{auto}_speedup"]
+    )
     return entry
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="tiny input for CI; skips the 5x acceptance gate")
+                        help="tiny input for CI; skips both gates")
     parser.add_argument("--size", type=int, default=1_000_000,
                         help="input symbols per configuration")
     parser.add_argument("--segments", type=int, default=16)
@@ -146,22 +156,32 @@ def main(argv=None) -> int:
     for config in build_configs(rng, n_symbols):
         entry = bench_config(config, args.segments)
         results.append(entry)
-        best = max(entry[f"{b}_speedup"] for b in KERNEL_BACKENDS)
         print(f"{entry['config']:<20} python {entry['python_seconds']:.3f}s  "
               f"lockstep {entry['lockstep_speedup']:5.1f}x  "
-              f"bitset {entry['bitset_speedup']:5.1f}x  "
-              f"dense {entry['dense_speedup']:5.1f}x  "
-              f"(best {best:.1f}x, auto={entry['auto_backend']})")
-        if entry["acceptance_config"] and not args.smoke and best < 5.0:
+              f"native {entry['native_speedup']:5.1f}x  "
+              f"prefilter {entry['prefilter_speedup']:5.1f}x  "
+              f"(auto={entry['auto_backend']} "
+              f"{entry['auto_backend_speedup']:.1f}x)")
+        if entry["acceptance_config"] and not args.smoke \
+                and entry["lockstep_speedup"] < 5.0:
             raise SystemExit(
-                f"acceptance gate failed: best kernel speedup {best:.1f}x < 5x"
+                f"acceptance gate failed: lockstep only "
+                f"{entry['lockstep_speedup']:.1f}x over python (< 5x)"
+            )
+        if entry["config"] == "random64/trivial" and not args.smoke \
+                and entry["auto_backend_speedup"] < 1.0:
+            raise SystemExit(
+                f"regression gate failed: random64/trivial resolves to "
+                f"{entry['auto_backend']} at "
+                f"{entry['auto_backend_speedup']:.2f}x (< 1x vs interpreter)"
             )
 
     ARTIFACT.write_text(json.dumps(
         {
             "benchmark": "software kernel backends vs interpreted run_segment",
             "smoke": bool(args.smoke),
-            "acceptance_gate": "lockstep or bitset >= 5x on random64/discrete",
+            "acceptance_gate": "lockstep >= 5x on random64/discrete; "
+                               "random64/trivial auto backend >= 1x",
             "env": env_info(),
             "results": results,
         },

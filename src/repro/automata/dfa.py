@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Dfa", "as_symbols"]
+__all__ = ["Dfa", "SymbolRangeError", "as_symbols", "check_symbols"]
 
 
 def as_symbols(data) -> np.ndarray:
@@ -40,6 +40,42 @@ def as_symbols(data) -> np.ndarray:
     if hasattr(data, "__array__"):
         return np.asarray(data).astype(np.int64, copy=False)
     return np.asarray(list(data), dtype=np.int64)
+
+
+class SymbolRangeError(ValueError):
+    """An input symbol lies outside the DFA's alphabet.
+
+    ``offset`` is the position of the first bad symbol and ``symbol`` its
+    value; valid symbols are ``0 .. alphabet_size - 1``.
+    """
+
+    def __init__(self, offset: int, symbol: int, alphabet_size: int) -> None:
+        super().__init__(
+            f"symbol {symbol} at offset {offset} is outside the alphabet "
+            f"[0, {alphabet_size})"
+        )
+        self.offset = offset
+        self.symbol = symbol
+        self.alphabet_size = alphabet_size
+
+
+def check_symbols(syms: np.ndarray, alphabet_size: int, base: int = 0) -> None:
+    """Raise :class:`SymbolRangeError` for the first out-of-alphabet symbol.
+
+    ``base`` is added to the reported offset (a chunk's position in its
+    stream).  An unsigned array whose dtype cannot hold a value at or
+    above ``alphabet_size`` (uint8 input on a 256-symbol machine) is in
+    range by its dtype alone: no pass over the data and no copy.
+    """
+    if syms.size == 0:
+        return
+    unsigned = syms.dtype.kind == "u"
+    if unsigned and int(np.iinfo(syms.dtype).max) < alphabet_size:
+        return
+    if (unsigned or int(syms.min()) >= 0) and int(syms.max()) < alphabet_size:
+        return
+    bad = int(np.flatnonzero((syms < 0) | (syms >= alphabet_size))[0])
+    raise SymbolRangeError(base + bad, int(syms[bad]), alphabet_size)
 
 
 class Dfa:

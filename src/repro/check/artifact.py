@@ -15,8 +15,8 @@ principles instead of trusting stored metadata:
   non-empty, in-range, and the cached block index agrees;
 - :func:`verify_compiled` — every derived table of a
   :class:`~repro.compilecache.artifact.CompiledDfa` (scalar rows, flat
-  int64 kernel matrix, bitset predecessor matrices, dtype-narrowed dense
-  table) is transition-equivalent to the source table, the cache
+  int64 kernel matrix, the native tier's dtype-narrowed dense table) is
+  transition-equivalent to the source table, the cache
   key/fingerprint re-derive to the stored values, the census is
   well-formed and the merge coverage is reproducible;
 - :func:`verify_artifact_file` — the on-disk envelope (format version,
@@ -65,7 +65,6 @@ P105 = register_code("P105", "partition block index disagrees with blocks")
 
 K101 = register_code("K101", "scalar table rows disagree with the transition table")
 K102 = register_code("K102", "flat kernel matrix disagrees with the transition table")
-K103 = register_code("K103", "bitset tables disagree with the transition table")
 K104 = register_code("K104", "stored cache key does not re-derive")
 K105 = register_code("K105", "stored fingerprint does not re-derive")
 K106 = register_code("K106", "backend fields are invalid or do not re-resolve")
@@ -73,8 +72,8 @@ K107 = register_code("K107", "merge coverage does not re-derive from the census"
 K108 = register_code("K108", "census entry is not a valid state partition")
 K109 = register_code("K109", "artifact file format version mismatch")
 K110 = register_code("K110", "artifact file envelope is malformed")
-K111 = register_code("K111", "dense kernel table disagrees with the transition table")
-K112 = register_code("K112", "dense column offsets do not re-derive")
+K111 = register_code("K111", "native dense table disagrees with the transition table")
+K112 = register_code("K112", "native dense column offsets do not re-derive")
 K114 = register_code("K114", "native table view disagrees with the dense tables")
 K115 = register_code("K115", "native single-step replay disagrees with the transition table")
 K120 = register_code("K120", "shard key does not re-derive from member fingerprints")
@@ -269,9 +268,8 @@ def verify_compiled(compiled: "object", deep: bool = True,
     Every kernel encoding must be transition-equivalent — a scan
     must return the same matches whichever backend executes it — and the
     content-addressing fields must re-derive from the actual content.
-    ``deep=True`` recomputes the bitset predecessor matrices when the
-    artifact has them built (the one check whose cost grows with
-    ``alphabet * states^2 / 64``).
+    ``deep=True`` adds the DFA's reachability analysis and the native
+    tier's single-step replay.
     """
     from repro.compilecache.artifact import cache_key
     from repro.kernels import BACKENDS
@@ -307,27 +305,7 @@ def verify_compiled(compiled: "object", deep: bool = True,
             "transition table (lockstep gathers would diverge)",
             f"{location}.flat_table"))
 
-    # bitset tables =~ recomputed predecessor matrices
-    bitset = getattr(compiled, "_bitset", None)
-    if bitset is not None and deep:
-        from repro.kernels import BitsetTables
-
-        fresh = BitsetTables(dfa)
-        if bitset.pred.shape != fresh.pred.shape \
-                or not bool(np.array_equal(bitset.pred, fresh.pred)):
-            where = "?"
-            if bitset.pred.shape == fresh.pred.shape:
-                bad = np.argwhere(bitset.pred != fresh.pred)
-                c, t, w = (int(v) for v in bad[0])
-                where = f"symbol {c}, target {t}, word {w}"
-            out.append(_err(
-                K103,
-                "bitset predecessor matrices disagree with the transition "
-                f"table (first mismatch: {where}); the bitset backend "
-                "would follow different transitions",
-                f"{location}.bitset"))
-
-    # dense tables =~ dtype-narrowed raveled table + arange offsets
+    # native dense tables =~ dtype-narrowed raveled table + arange offsets
     dense = getattr(compiled, "_dense", None)
     if dense is not None:
         from repro.kernels import dense_state_dtype
@@ -342,9 +320,9 @@ def verify_compiled(compiled: "object", deep: bool = True,
                     dense_table.astype(np.int64), expect_flat)):
             out.append(_err(
                 K111,
-                f"dense kernel table is not the transition table narrowed "
-                f"to {expect_dtype} (the one-gather-per-position step "
-                "would follow different transitions)",
+                f"native dense table is not the transition table narrowed "
+                f"to {expect_dtype} (the compiled frontier gather would "
+                "follow different transitions)",
                 f"{location}.dense.table"))
         offsets = getattr(dense, "offsets", None)
         expect_off = np.arange(table.shape[0], dtype=np.int64) * dfa.num_states
@@ -353,14 +331,14 @@ def verify_compiled(compiled: "object", deep: bool = True,
                 or not bool(np.array_equal(offsets, expect_off)):
             out.append(_err(
                 K112,
-                "dense column offsets are not "
+                "native dense column offsets are not "
                 "arange(alphabet) * num_states (gathers would read the "
                 "wrong table columns)",
                 f"{location}.dense.offsets"))
 
     # native tier: the compiled library must read the exact table bytes
     # the Python tier built (absence of the library is not a defect —
-    # the system degrades to dense — so an unavailable tier adds nothing)
+    # the system degrades to lockstep — so an unavailable tier adds nothing)
     out.extend(verify_native(dfa, dense=dense, deep=deep,
                              location=f"{location}.native"))
 
@@ -418,10 +396,10 @@ def verify_compiled(compiled: "object", deep: bool = True,
             f"are not drawn from {BACKENDS}",
             f"{location}.backend"))
     elif requested != "auto" and resolved != requested and not (
-            requested == "native" and resolved == "dense"):
-        # native -> dense is the documented degradation when no compiled
-        # library is loadable at compile time; every other divergence
-        # from an explicit request is a contradiction
+            requested == "native" and resolved == "lockstep"):
+        # native -> lockstep is the documented degradation when no
+        # compiled library is loadable at compile time; every other
+        # divergence from an explicit request is a contradiction
         out.append(_err(
             K106,
             f"resolved backend {resolved!r} contradicts the explicit "
@@ -458,7 +436,7 @@ def verify_native(dfa: "object", dense: "object" = None, deep: bool = True,
     the discrete partition must land each start state exactly where the
     transition table says (``deep=False`` skips the replay; very large
     tables cap it).  An unavailable native tier yields no diagnostics —
-    degradation to dense is the documented contract, not a defect.
+    degradation to lockstep is the documented contract, not a defect.
     """
     from repro.kernels import DenseTables
     from repro.kernels.native import (
@@ -803,7 +781,9 @@ def verify_artifact_file(path: Union[str, Path],
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except Exception as exc:  # repro: noqa(R106) — reported as K110
+        # a pickle naming a module this build no longer has (an artifact
+        # from before a kernel was retired) is unreadable, not a crash
         return [_err(K110, f"unreadable artifact: {exc}", location)]
     if not isinstance(payload, dict):
         return [_err(K110, "payload is not the save_artifact envelope",
@@ -818,12 +798,15 @@ def verify_artifact_file(path: Union[str, Path],
         # refresh the cache entry — is obvious from the finding alone
         if isinstance(version, int) and 1 <= version < FORMAT_VERSION:
             lacks = [name for v, name in _ENVELOPE_FIELDS if version < v]
+            missing = (
+                f"; the envelope lacks {', '.join(lacks)} so those "
+                "cross-checks cannot run" if lacks else ""
+            )
             out.append(_err(
                 K109,
                 f"format version {version} predates this build's "
-                f"{FORMAT_VERSION}; the envelope lacks "
-                f"{', '.join(lacks)} so those cross-checks cannot run — "
-                "recompile to refresh the cache entry",
+                f"{FORMAT_VERSION}{missing} — recompile to refresh the "
+                "cache entry",
                 location))
         else:
             out.append(_err(

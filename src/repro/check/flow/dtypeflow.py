@@ -19,7 +19,7 @@ via ``np.result_type``.  Loops converge by interval widening (see
 R301  arithmetic whose *result* dtype is a narrow integer (``uint8``,
       ``uint16``, ``int8``, ``int16``) and whose interval provably
       exceeds that dtype's bounds — the add silently wraps.  Routing
-      the result into a wide ``out=`` array (the dense kernel's
+      the result into a wide ``out=`` array (e.g.
       ``np.add(row[:, None], frontier, out=idx)`` with int64 ``idx``)
       is the sanctioned fix and verifies clean.
 R302  ``astype``/constructor narrowing where the source interval lies

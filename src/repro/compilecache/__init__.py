@@ -8,8 +8,8 @@ content-addressed artifact served from a cache:
 
 - :class:`CompiledDfa` — the artifact: profiling census, merged
   convergence partition, scalar table rows, the lockstep kernel's flat
-  int64 transition matrix, the bitset backend's predecessor bit-matrices
-  (lazy), and the resolved backend hint.
+  int64 transition matrix, the native tier's dense table (lazy), the
+  literal-prefilter certificate, and the resolved backend hint.
 - :func:`cache_key` / :func:`compile_dfa` — content addressing and the
   one-shot build.
 - :class:`CompileCache` — thread-safe in-process LRU with an optional

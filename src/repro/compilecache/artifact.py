@@ -8,12 +8,9 @@ matrix:
 - the scalar table rows the interpreted walk indexes
   (``repro.software._table_rows``),
 - the int64-raveled transition matrix the lockstep kernel gathers from,
-- the bitset backend's per-symbol predecessor bit-matrices
-  (:class:`repro.kernels.BitsetTables`, built lazily — they are the one
-  table whose footprint grows with ``alphabet * states^2 / 64``),
-- the dense kernel's dtype-narrowed table + per-symbol column offsets
-  (:class:`repro.kernels.DenseTables`, built eagerly when the resolved
-  backend is ``"dense"``, lazily otherwise),
+- the native tier's dtype-narrowed dense table + per-symbol column
+  offsets (:class:`repro.kernels.DenseTables`, built eagerly when the
+  resolved backend is ``"native"``, lazily otherwise),
 - the literal-prefilter certificate — anchor LUT, home state and proven
   skip width (:class:`repro.kernels.PrefilterTables`, built eagerly when
   the resolved backend is ``"prefilter"``; ``None`` when the machine is
@@ -46,7 +43,6 @@ from repro.core.profiling import (
 )
 from repro.automata.dfa import Dfa
 from repro.kernels import (
-    BitsetTables,
     DenseTables,
     PrefilterTables,
     certify_prefilter,
@@ -100,7 +96,6 @@ class CompiledDfa:
     backend: str
     n_segments: int
     build_seconds: float = 0.0
-    _bitset: Optional[BitsetTables] = field(default=None, repr=False)
     _dense: Optional[DenseTables] = field(default=None, repr=False)
     _prefilter: Optional[PrefilterTables] = field(default=None, repr=False)
     #: whether the prefilter certificate has been derived yet (it is
@@ -117,12 +112,6 @@ class CompiledDfa:
     def num_convergence_sets(self) -> int:
         return self.partition.num_blocks
 
-    def bitset_tables(self) -> BitsetTables:
-        """Per-symbol predecessor bit-matrices, built on first use."""
-        if self._bitset is None:
-            self._bitset = BitsetTables(self.dfa)
-        return self._bitset
-
     def dense_tables(self) -> DenseTables:
         """Dtype-narrowed dense table + column offsets, built on first use."""
         if self._dense is None:
@@ -133,7 +122,8 @@ class CompiledDfa:
         """Literal-skip certificate, derived on first use.
 
         ``None`` means the machine is not literal-certifiable — scans
-        requesting ``backend="prefilter"`` degrade to the dense kernel.
+        requesting ``backend="prefilter"`` degrade to the native frontier
+        (or its fallback).
         """
         if not self._prefilter_built:
             self._prefilter = certify_prefilter(self.dfa)
@@ -144,8 +134,6 @@ class CompiledDfa:
     def nbytes(self) -> int:
         """Approximate artifact footprint (tables only)."""
         total = int(self.flat_table.nbytes) + int(self.dfa.transitions.nbytes)
-        if self._bitset is not None:
-            total += self._bitset.nbytes
         if self._dense is not None:
             total += self._dense.nbytes
         if self._prefilter is not None:
@@ -194,11 +182,9 @@ def compile_dfa(
         backend=resolved,
         n_segments=int(n_segments),
     )
-    if resolved == "bitset":
-        compiled.bitset_tables()
-    elif resolved in ("dense", "native"):
-        # the native tier reads the dense tables as-is: one artifact
-        # serves both, and a toolchain-less load still scans with dense
+    if resolved == "native":
+        # a toolchain-less load of this artifact scans with lockstep from
+        # flat_table, so the dense tables never strand a scan
         compiled.dense_tables()
     elif resolved == "prefilter":
         compiled.prefilter_tables()

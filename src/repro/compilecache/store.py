@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from repro.compilecache.artifact import CompiledDfa
-from repro.kernels.dense import dense_state_dtype
+from repro.kernels.native import dense_state_dtype
 from repro.kernels.prefilter import derive_prefilter
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 # version 2: the envelope records ``dense_dtype`` — the state dtype the
-# dense-frontier kernel narrows to for this machine — so a loader can
+# native dense frontier narrows to for this machine — so a loader can
 # cross-check any stored DenseTables against the DFA's state count
 # without unpickling them first
 # version 3: the envelope records ``prefilter`` — the literal-skip
@@ -42,7 +42,10 @@ __all__ = [
 # ``None`` for uncertifiable machines — cross-checked on load against a
 # fresh derivation from the stored transition table, so a stale or
 # tampered certificate can never steer a scan into skipping live bytes
-FORMAT_VERSION = 3
+# version 4: the dense and bitset kernel modules are gone and DenseTables
+# pickles under repro.kernels.native, so a version-3 pickle names modules
+# that no longer import
+FORMAT_VERSION = 4
 _SUFFIX = ".cdfa"
 
 
@@ -92,7 +95,9 @@ def load_artifact(
     """Load and validate an artifact; ``None`` when the file is absent.
 
     Raises :class:`ArtifactValidationError` when a file exists but its
-    version, key or fingerprint disagree with what the caller expects.
+    version, key or fingerprint disagree with what the caller expects, or
+    when it cannot be unpickled at all — including a pickle that names a
+    module or class this build no longer has.
     """
     path = artifact_path(cache_dir, key)
     if not path.exists():
@@ -100,7 +105,9 @@ def load_artifact(
     try:
         with path.open("rb") as handle:
             payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
+    except Exception as exc:  # repro: noqa(R106) — re-raised typed below
+        # unpickling runs arbitrary reconstructors: any failure (a renamed
+        # module, a truncated file, a foreign class) is a miss, not a crash
         raise ArtifactValidationError(f"unreadable artifact {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ArtifactValidationError(f"malformed artifact {path}")

@@ -14,7 +14,9 @@ speculation succeeded.  Otherwise one of three policies repairs the run:
   paper's hardware implements).
 
 Every policy yields exactly the sequential machine's final state; they
-differ only in how many serial cycles the repair costs.
+differ only in how many serial cycles the repair costs.  An empty segment
+(more segments than symbols) is the identity: composition passes the
+value through it unchanged and no policy re-executes it.
 """
 
 from __future__ import annotations
@@ -50,18 +52,21 @@ class ReexecutionStats:
 def _compose(
     first_final: int,
     functions: Sequence[SegmentFunction],
+    empty: Sequence[bool],
 ) -> Tuple[List[np.ndarray], int]:
     """Left-to-right composition of the segment transition functions.
 
     Returns per-boundary possible-state sets (``values[i]`` is the value
     after enumerative segment ``i``) and the index of the last concrete
     point (-1 means only the first segment's output is concrete).
+    Segments flagged ``empty`` pass the value through unchanged.
     """
     values: List[np.ndarray] = []
     current = np.asarray([first_final], dtype=np.int64)
     last_concrete = -1
     for i, fn in enumerate(functions):
-        current = fn.apply(current)
+        if not empty[i]:
+            current = fn.apply(current)
         values.append(current)
         if current.size == 1:
             last_concrete = i
@@ -91,11 +96,14 @@ def compose_and_fix(
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     config = config or APConfig()
     stats = ReexecutionStats()
-    stats.diverged_segments = sum(1 for fn in functions if not fn.all_converged)
+    empty = [b <= a for a, b in enum_bounds]
+    stats.diverged_segments = sum(
+        1 for fn, e in zip(functions, empty) if not e and not fn.all_converged
+    )
     if not functions:
         return int(first_final), stats
 
-    values, _ = _compose(first_final, functions)
+    values, _ = _compose(first_final, functions, empty)
     if values[-1].size == 1:
         return int(values[-1][0]), stats
 
@@ -103,6 +111,8 @@ def compose_and_fix(
         # Serially re-execute every enumerative segment.
         state = int(first_final)
         for i, (a, b) in enumerate(enum_bounds):
+            if empty[i]:
+                continue
             state = dfa.run(syms[a:b], state)
             stats.reexecuted_segments.append(i)
             stats.extra_cycles += (b - a) * config.symbol_cycles
@@ -117,6 +127,8 @@ def compose_and_fix(
                 break
         state = int(values[r][0]) if r >= 0 else int(first_final)
         for i in range(r + 1, len(functions)):
+            if empty[i]:
+                continue
             a, b = enum_bounds[i]
             state = dfa.run(syms[a:b], state)
             stats.reexecuted_segments.append(i)
@@ -131,6 +143,8 @@ def compose_and_fix(
                 r = i
                 break
         state = int(values[r][0]) if r >= 0 else int(first_final)
+        # never an empty segment: it would have passed the concrete
+        # value at r through, making it concrete too
         target = r + 1
         a, b = enum_bounds[target]
         state = dfa.run(syms[a:b], state)
@@ -142,10 +156,11 @@ def compose_and_fix(
         # number of convergence sets touched, not to input length.
         current = values[target]
         for i in range(target + 1, len(functions)):
-            current = functions[i].apply(current)
+            if not empty[i]:
+                current = functions[i].apply(current)
+                stats.extra_cycles += (
+                    config.reeval_cycles_per_cs * len(functions[i].outcomes)
+                )
             values[i] = current
-            stats.extra_cycles += (
-                config.reeval_cycles_per_cs * len(functions[i].outcomes)
-            )
         stats.reeval_passes += 1
     return int(values[-1][0]), stats

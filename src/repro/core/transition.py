@@ -23,7 +23,7 @@ import numpy as np
 from repro.automata.dfa import Dfa
 from repro.core.partition import StatePartition
 
-__all__ = ["CsOutcome", "SegmentFunction", "execute_segment"]
+__all__ = ["CsOutcome", "SegmentFunction", "execute_segment", "walk_set_flows"]
 
 
 @dataclass(frozen=True)
@@ -187,3 +187,42 @@ def execute_segment(
         else:
             outcomes.append(CsOutcome(False, None, states, ambiguous[cs]))
     return SegmentFunction(outcomes, partition.labels()), r_trace
+
+
+def walk_set_flows(
+    blocks: Sequence[np.ndarray],
+    symbols: List[int],
+    rows: List[List[int]],
+    table: np.ndarray,
+) -> List[CsOutcome]:
+    """The interpreted reference walk: one set-flow per convergence set.
+
+    While a set has more than one member it steps with a gather + unique
+    over the int64 ``table``; the moment it collapses it degrades to the
+    scalar walk over the nested-list ``rows`` (the software analogue of
+    "M = 1 computes all paths at the cost of one").
+    """
+    outcomes: List[CsOutcome] = []
+    for block in blocks:
+        current = block
+        scalar: Optional[int] = int(current[0]) if current.size == 1 else None
+        for idx, sym in enumerate(symbols):
+            if scalar is not None:
+                # degraded to a single path: same cost as sequential
+                scalar = rows[sym][scalar]
+                continue
+            current = np.unique(table[sym].take(current))
+            if current.size == 1:
+                scalar = int(current[0])
+                # walk the remaining symbols scalar-fashion
+                for tail_sym in symbols[idx + 1:]:
+                    scalar = rows[tail_sym][scalar]
+                break
+        if scalar is not None:
+            outcomes.append(
+                CsOutcome(True, int(scalar),
+                          np.asarray([scalar], dtype=np.int64))
+            )
+        else:
+            outcomes.append(CsOutcome(False, None, current))
+    return outcomes

@@ -10,8 +10,8 @@ model — the trial build *is* the build, and a
 current shard and starts the next one.  No cost is wasted on products
 that are later discarded.
 
-Budget defaults to ``DENSE_MAX_STATES``: a shard that fits runs the
-dense frontier kernel, the fastest backend in the repo.  Machines that
+Budget defaults to ``NATIVE_MAX_STATES``: a shard that fits runs the
+compiled native frontier (lockstep without the library).  Machines that
 individually exceed the budget become *singleton fallback* shards — they
 scan exactly as the per-machine loop did (same Dfa object, same compiled
 artifact), so sharding is never a regression.
@@ -36,7 +36,7 @@ from repro.automata.dfa import Dfa
 from repro.automata.ops import ProductSizeExceeded
 from repro.fleet.shard import ShardMachine, _ShardAccumulator
 from repro.hardware.allocation import APConfig
-from repro.kernels.batch import DENSE_MAX_STATES
+from repro.kernels.batch import NATIVE_MAX_STATES
 
 __all__ = ["ShardPlan", "plan_shards"]
 
@@ -107,7 +107,7 @@ def plan_shards(
     """
     if not dfas:
         raise ValueError("cannot plan shards for an empty fleet")
-    budget = DENSE_MAX_STATES if max_states is None else int(max_states)
+    budget = NATIVE_MAX_STATES if max_states is None else int(max_states)
     if budget < 1:
         raise ValueError("max_states must be positive")
     cfg = config if config is not None else APConfig()

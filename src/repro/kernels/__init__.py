@@ -2,21 +2,17 @@
 
 The interpreted reference path (:func:`repro.software.run_segment` with
 ``backend="python"``) pays Python bytecode per state transition; these
-kernels pay it per *symbol position of the whole scan*:
+kernels pay it per *symbol position of the whole scan*, or not at all:
 
 - :mod:`repro.kernels.lockstep` — cross-segment lockstep stepping: all
   scalar flows of all segments advance with one fancy-indexed gather per
   position; diverged sets ride a flat member array.
-- :mod:`repro.kernels.bitset` — uint64-packed active masks with
-  precomputed per-symbol predecessor matrices (the software realization of
-  the AP's one-hot step), stepping a set in O(N/64) words.
-- :mod:`repro.kernels.dense` — the dense-frontier kernel: all N states of
-  every segment advance with exactly one flat gather per symbol position
-  (dtype-narrowed table, strided collapse checks); the small-N fast path.
-- :mod:`repro.kernels.native` — the compiled set-flow tier: the dense
-  kernel's whole frontier advanced over the whole symbol buffer in one C
-  call (ctypes-loaded, zero runtime deps); strictly optional — every
-  caller degrades to dense when no toolchain or prebuilt library exists.
+- :mod:`repro.kernels.native` — the compiled set-flow tier: every
+  segment's dense frontier (all N states, dtype-narrowed table) advanced
+  over the whole symbol buffer in one C call (ctypes-loaded, zero runtime
+  deps); strictly optional — every caller degrades to lockstep (or the
+  interpreted walk for one convergence set) when no toolchain or prebuilt
+  library exists.
 - :mod:`repro.kernels.prefilter` — the literal-prefilter fast path:
   compile-time anchor/skip-width certification plus a scan kernel that
   sweeps for anchor bytes vectorized and walks only the tail after the
@@ -28,16 +24,16 @@ kernels pay it per *symbol position of the whole scan*:
 
 from repro.kernels.batch import (
     BACKENDS,
-    DENSE_MAX_STATES,
     KERNEL_BACKENDS,
+    NATIVE_MAX_STATES,
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.bitset import BitsetTables
-from repro.kernels.dense import DenseTables, dense_state_dtype
 from repro.kernels.native import (
+    DenseTables,
     NativeBuildError,
     build_native,
+    dense_state_dtype,
     native_available,
     native_build_info,
     native_table_view,
@@ -53,9 +49,8 @@ from repro.kernels.prefilter import (
 
 __all__ = [
     "BACKENDS",
-    "DENSE_MAX_STATES",
     "KERNEL_BACKENDS",
-    "BitsetTables",
+    "NATIVE_MAX_STATES",
     "DenseTables",
     "NativeBuildError",
     "PrefilterTables",

@@ -1,20 +1,20 @@
 /* Native set-flow tier: the dense-frontier kernel as one compiled call.
  *
- * The dense kernel (dense.py) already reduced a symbol position to one
- * offset-add + one flat gather, but each position still pays a Python
- * dispatch and full-generality numpy machinery.  This library advances a
- * whole segment's enumeration frontier over its entire symbol buffer in
- * one C loop: per position a fused offset-add + gather at the narrowed
- * table dtype, a strided collapse check every K positions (adaptive K,
- * same STRIDE_MIN/STRIDE_MAX ladder as dense.py — correctness is
- * stride-independent because the outcomes are derived from the final
- * frontier), and when the *whole* frontier collapses to one state the
- * segment degrades to a single scalar table walk for its remaining tail.
+ * A dense frontier keeps all N states of every segment and reduces a
+ * symbol position to one offset-add + one flat gather.  This library
+ * advances a whole segment's enumeration frontier over its entire symbol
+ * buffer in one C loop: per position a fused offset-add + gather at the
+ * narrowed table dtype, a strided collapse check every K positions
+ * (adaptive K between NATIVE_STRIDE_MIN and NATIVE_STRIDE_MAX —
+ * correctness is stride-independent because the outcomes are derived
+ * from the final frontier), and when the *whole* frontier collapses to
+ * one state the segment degrades to a single scalar table walk for its
+ * remaining tail.
  *
  * Deliberately plain C with a flat pointer ABI: no Python.h, no numpy
  * headers.  The Python side (native.py) loads it through ctypes, passes
- * preallocated numpy buffers, and reuses dense.py's epilogue verbatim so
- * outcomes stay bit-identical to every other backend.
+ * preallocated numpy buffers, and derives the per-CS outcomes from the
+ * raw final frontiers so they stay bit-identical to every other backend.
  */
 
 #include <stdint.h>
@@ -23,7 +23,8 @@
  * a library whose cse_native_abi() disagrees */
 #define CSE_NATIVE_ABI 1
 
-/* same adaptive collapse-check ladder as dense.py */
+/* adaptive collapse-check ladder: start here, double while checks find
+ * nothing new, reset on progress */
 #define NATIVE_STRIDE_MIN 8
 #define NATIVE_STRIDE_MAX 512
 

@@ -16,17 +16,26 @@ across **all** enumerative segments at once:
 
 Flows that collapse migrate from :class:`FlatSetFlows` into the
 :class:`ScalarPool` — the batched analogue of the paper's "M = 1 computes
-all paths at the cost of one" degradation.
+all paths at the cost of one" degradation.  :func:`run_segments_lockstep`
+drives both pools over a stacked ``(n_segments, seg_len)`` symbol matrix
+(ragged tails handled with an active-segment mask), so the steady-state
+cost per position is one gather regardless of how many segments and
+convergence sets the scan has.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["ScalarPool", "FlatSetFlows"]
+from repro.automata.dfa import Dfa
+from repro.core.partition import StatePartition
+from repro.core.transition import CsOutcome
+from repro.engines.base import stack_segments
+
+__all__ = ["ScalarPool", "FlatSetFlows", "run_segments_lockstep"]
 
 
 class ScalarPool:
@@ -179,3 +188,67 @@ class FlatSetFlows:
             states = np.unique(self.members[self.starts[f]:ends[f]])
             out.append((states, int(self.flow_seg[f]), int(self.flow_block[f])))
         return out
+
+
+def run_segments_lockstep(
+    dfa: Dfa,
+    partition: StatePartition,
+    segments: Sequence[np.ndarray],
+    flat: Optional[np.ndarray] = None,
+) -> Tuple[List[List[CsOutcome]], Dict[str, int]]:
+    """Advance every segment's scalar and set flows in lockstep.
+
+    Returns ``(grid, stats)``: ``grid[seg][block]`` is the
+    :class:`CsOutcome` of convergence set ``block`` in segment ``seg``
+    (bit-identical to the interpreted path) and ``stats`` carries
+    ``collapses``.  ``flat`` optionally reuses the int64-raveled
+    transition matrix.
+    """
+    n_seg = len(segments)
+    blocks = partition.block_arrays()
+    n_states = dfa.num_states
+    if flat is None:
+        flat = dfa.transitions.astype(np.int64).ravel()
+    matrix, lengths = stack_segments(segments)
+    offsets = matrix * n_states
+
+    single_ids = [i for i, b in enumerate(blocks) if b.size == 1]
+    multi_ids = np.asarray(
+        [i for i, b in enumerate(blocks) if b.size > 1], dtype=np.int64
+    )
+    pool = ScalarPool(flat)
+    if single_ids:
+        singles = np.asarray([int(blocks[i][0]) for i in single_ids], dtype=np.int64)
+        pool.extend(
+            np.tile(singles, n_seg),
+            np.repeat(np.arange(n_seg, dtype=np.int64), len(single_ids)),
+            np.tile(np.asarray(single_ids, dtype=np.int64), n_seg),
+        )
+    flows = FlatSetFlows(
+        flat, [blocks[i] for i in multi_ids.tolist()], multi_ids, n_seg
+    )
+
+    n_collapsed = 0
+    length_min = int(lengths.min()) if n_seg else 0
+    length_max = int(lengths.max()) if n_seg else 0
+    for t in range(length_max):
+        seg_active = None if t < length_min else lengths > t
+        col_off = offsets[:, t]
+        pool.step(col_off, seg_active)
+        collapsed = flows.step(col_off, seg_active)
+        n_collapsed += len(collapsed)
+        pool.absorb(collapsed)
+
+    grid: List[List[Optional[CsOutcome]]] = [
+        [None] * len(blocks) for _ in range(n_seg)
+    ]
+    for state, seg, blk in zip(
+        pool.states.tolist(), pool.seg.tolist(), pool.block.tolist()
+    ):
+        grid[seg][blk] = CsOutcome(
+            True, int(state), np.asarray([state], dtype=np.int64)
+        )
+    for states, seg, blk in flows.final_outcomes():
+        grid[seg][blk] = CsOutcome(False, None, states.astype(np.int64))
+    assert all(o is not None for outcomes in grid for o in outcomes)
+    return grid, {"collapses": n_collapsed}  # type: ignore[return-value]

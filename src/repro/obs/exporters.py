@@ -101,7 +101,8 @@ METRIC_HELP: Dict[str, str] = {
     "software_speculation_misses_total":
         "Enumerative segments whose speculated outcome was discarded.",
     "software_segment_reexec_total": "Re-executions per segment index.",
-    "kernels_positions_total": "Symbol positions advanced per backend.",
+    "kernels_positions_total":
+        "Symbols consumed per backend, summed over segments.",
     "kernels_collapses_total":
         "Convergence-set collapses observed per backend.",
     "kernels_batch_runs_total": "Batched kernel invocations per backend.",
@@ -109,7 +110,8 @@ METRIC_HELP: Dict[str, str] = {
     "kernels_backend_resolved_total":
         "Backend resolution decisions (requested -> chosen, with reason).",
     "kernels_prefilter_fallbacks_total":
-        "Prefilter requests degraded to dense (machine not certifiable).",
+        "Prefilter requests degraded to the native frontier or its fallback "
+        "(machine not certifiable).",
     "kernels_prefilter_windows_total":
         "Segments the prefilter proved reset and scanned as tail windows.",
     "kernels_prefilter_skipped_bytes_total":
@@ -119,7 +121,8 @@ METRIC_HELP: Dict[str, str] = {
     "kernels_prefilter_walked_positions_total":
         "Positions the prefilter walked scalar after the last reset run.",
     "kernels_prefilter_fallback_segments_total":
-        "Segments with no provable reset run, run through dense.",
+        "Segments with no provable reset run, run through the native frontier "
+        "or its fallback.",
     "software_mmap_scans_total":
         "Pooled scans dispatched by (path, offset, length) mmap coordinates.",
     "software_mmap_bytes_total":

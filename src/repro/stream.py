@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.automata.dfa import Dfa, as_symbols
+from repro.automata.dfa import Dfa, as_symbols, check_symbols
 from repro.core.engine import CseEngine
 from repro.core.partition import StatePartition
 from repro.engines.base import Engine
@@ -33,6 +33,7 @@ from repro.engines.sequential import SequentialEngine
 from repro.fleet import ShardMachine, ShardPlan, plan_shards
 from repro.hardware.ap import APConfig
 from repro.hardware.cost import throughput_symbols_per_sec
+from repro.ingest import byte_view
 from repro.kernels import resolve_backend
 
 __all__ = ["StreamScanner", "FleetScanner", "FleetResult", "FleetWallclock",
@@ -67,11 +68,11 @@ class StreamScanner:
         resolves through :func:`repro.kernels.resolve_backend` (the same
         partition-friendly-profile helper :class:`FleetScanner` uses);
         ``"python"`` forces the plain table walk, and the vectorized
-        kernels (``"lockstep"``/``"bitset"``/``"dense"``/``"native"``/
-        ``"prefilter"``) are accepted by name — a ``"prefilter"``
-        request on a machine that fails literal certification degrades
-        to ``"dense"``, and ``"native"`` degrades the same way on a
-        host where the compiled library does not load.
+        kernels (``"lockstep"``/``"native"``/``"prefilter"``) are
+        accepted by name — a ``"prefilter"`` request on a machine that
+        fails literal certification degrades to ``"native"`` (or its
+        fallback), and ``"native"`` degrades to ``"lockstep"`` on a host
+        where the compiled library does not load.
     partition:
         Convergence partition for the kernel path; defaults to the
         trivial single-set partition.
@@ -123,18 +124,24 @@ class StreamScanner:
     def feed(self, chunk) -> List[Tuple[int, int]]:
         """Consume one chunk; return the report events it produced.
 
-        Report offsets are global stream offsets.
+        Report offsets are global stream offsets.  A symbol outside the
+        alphabet raises :class:`repro.automata.dfa.SymbolRangeError`
+        (naming its stream offset) before any state is advanced.
         """
+        view8 = byte_view(chunk)
+        syms = as_symbols(chunk)
+        check_symbols(syms if view8 is None else view8,
+                      self.dfa.alphabet_size, base=self.offset)
         if not obs.is_enabled():
-            return self._feed(chunk)
+            return self._feed(syms)
         if self.trace_id is None:
             self.trace_id = obs.new_trace_id()
         with obs.trace(self.trace_id):
             wall = time.time()
             begin = time.perf_counter()
-            reports = self._feed(chunk)
+            reports = self._feed(syms)
             duration = time.perf_counter() - begin
-            n = int(as_symbols(chunk).size)
+            n = int(syms.size)
             obs.record_span("stream.feed", wall, duration,
                             n_symbols=n, backend=self.backend)
             obs.counter("stream_chunks_total").inc()
@@ -145,8 +152,7 @@ class StreamScanner:
             ).observe(duration)
         return reports
 
-    def _feed(self, chunk) -> List[Tuple[int, int]]:
-        syms = as_symbols(chunk)
+    def _feed(self, syms: np.ndarray) -> List[Tuple[int, int]]:
         if syms.size == 0:
             return []
         new_reports = [
@@ -227,7 +233,7 @@ class FleetScanner:
       :func:`repro.fleet.plan_shards`, so each unit pays one input pass
       for *all* its members and per-ruleset outcomes are demultiplexed
       from the product state, bit-identical to the per-machine loop.
-      Pass ``True`` to plan with the default ``DENSE_MAX_STATES`` budget
+      Pass ``True`` to plan with the default ``NATIVE_MAX_STATES`` budget
       or a :class:`~repro.fleet.ShardPlan` (over the deduped fleet) to
       reuse a plan.  Explicit ``partitions`` are per-machine objects and
       are rejected in shard mode.
@@ -382,6 +388,18 @@ class FleetScanner:
             i: per_slot[self.unique_of[i]] for i in range(len(self.dfas))
         }
 
+    def _symbols(self, symbols) -> np.ndarray:
+        """The input as int64 symbols, checked against every alphabet.
+
+        A symbol outside any member machine's alphabet raises
+        :class:`repro.automata.dfa.SymbolRangeError` before a unit runs.
+        """
+        view8 = byte_view(symbols)
+        syms = as_symbols(symbols)
+        check_symbols(syms if view8 is None else view8,
+                      min(d.alphabet_size for d in self.dfas))
+        return syms
+
     def scan(self, symbols) -> FleetResult:
         """Run every scan unit over the input; verify against sequential.
 
@@ -407,7 +425,7 @@ class FleetScanner:
         return result
 
     def _scan(self, symbols) -> FleetResult:
-        syms = as_symbols(symbols)
+        syms = self._symbols(symbols)
         per_unit_cycles: List[int] = []
         per_slot: Dict[int, List[Tuple[int, int]]] = {}
         collect = obs.is_enabled()
@@ -508,7 +526,7 @@ class FleetScanner:
     def _scan_wallclock(self, symbols, verify: bool = True) -> "FleetWallclock":
         from repro.software import software_cse_scan
 
-        syms = as_symbols(symbols)
+        syms = self._symbols(symbols)
         runs = []
         collect = obs.is_enabled()
         wall = time.time()

@@ -2,7 +2,7 @@
 
 Property-based core (the ISSUE's satellite): any well-formed DFA passes
 ``verify_dfa`` with zero errors, and every mutation class — out-of-bounds
-transition, overlapping convergence set, mismatched bitset row, tampered
+transition, overlapping convergence set, mutated native dense table, tampered
 derived tables / content addresses — is flagged with the *right*
 diagnostic code, never a generic failure.
 """
@@ -187,14 +187,6 @@ def test_flat_table_mutation_is_k102(compiled):
     assert error_codes(verify_compiled(compiled)) == {"K102"}
 
 
-def test_mismatched_bitset_row_is_k103(compiled):
-    compiled.bitset_tables()  # build, then flip one predecessor word
-    compiled._bitset.pred[0, 0, 0] ^= np.uint64(1)
-    assert error_codes(verify_compiled(compiled, deep=True)) == {"K103"}
-    # shallow verification deliberately skips the O(C*N^2/64) recompute
-    assert not error_codes(verify_compiled(compiled, deep=False))
-
-
 def test_tampered_key_is_k104(compiled):
     compiled.key = "0" * 64
     assert error_codes(verify_compiled(compiled)) == {"K104"}
@@ -377,6 +369,28 @@ def test_verify_artifact_file_reports_envelope_and_content(compiled, tmp_path):
 
     path.write_bytes(b"not a pickle")
     assert "K110" in error_codes(verify_artifact_file(path))
+
+
+def test_artifact_naming_a_retired_module_is_k110(compiled, tmp_path):
+    compiled.dense_tables()
+    path = save_artifact(compiled, tmp_path)
+    raw = path.read_bytes()
+    # same length keeps every pickle frame and length prefix valid
+    path.write_bytes(raw.replace(b"repro.kernels.native",
+                                 b"repro.kernels.gone00"))
+    diags = verify_artifact_file(path)
+    assert error_codes(diags) == {"K110"}
+
+
+def test_previous_format_version_is_skew_without_missing_fields(
+        compiled, tmp_path):
+    path = save_artifact(compiled, tmp_path)
+    payload = pickle.loads(path.read_bytes())
+    payload["format_version"] = 3
+    path.write_bytes(pickle.dumps(payload))
+    diags = verify_artifact_file(path)
+    k109 = next(d for d in diags if d.code == "K109")
+    assert "recompile" in k109.message and "lacks" not in k109.message
 
 
 def test_envelope_dense_dtype_mismatch_is_k111(compiled, tmp_path):

@@ -618,7 +618,7 @@ def test_sarif_export_structure():
                    location="src/repro/x.py", line=7,
                    rule="resource-flow", function="attach"),
         Diagnostic(code="R303", severity="warning", message="upcast",
-                   location="src/repro/kernels/dense.py", line=42,
+                   location="src/repro/kernels/native.py", line=42,
                    rule="dtype-flow", function="run"),
     ]
     doc = json.loads(render_sarif(diags, tool_version="1.2.3"))

@@ -145,8 +145,8 @@ class TestAnml:
 
 
 class TestSoftware:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense",
-                                         "native", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "lockstep", "native",
+                                         "prefilter", "auto"])
     def test_each_backend(self, rules_file, input_file, backend, capsys):
         code = main([
             "software", rules_file, input_file,

@@ -67,7 +67,7 @@ class TestCacheKey:
                       0.99, None, "auto", 16),
             cache_key(dfa.fingerprint, FAST, 0.95, None, "auto", 16),
             cache_key(dfa.fingerprint, FAST, 0.99, 4, "auto", 16),
-            cache_key(dfa.fingerprint, FAST, 0.99, None, "bitset", 16),
+            cache_key(dfa.fingerprint, FAST, 0.99, None, "native", 16),
             cache_key(dfa.fingerprint, FAST, 0.99, None, "auto", 8),
         ]
         assert len({base, *variants}) == len(variants) + 1
@@ -195,10 +195,37 @@ class TestDiskTier:
         with pytest.raises(ArtifactValidationError, match="dense dtype"):
             load_artifact(tmp_path, compiled.key)
 
+    def test_renamed_module_pickle_is_a_miss(self, tmp_path):
+        # an artifact written before a kernel module was retired pickles
+        # classes under a module path this build no longer has
+        dfa = _random_dfa()
+        compiled = compile_dfa(dfa, profiling=FAST)
+        compiled.dense_tables()
+        save_artifact(compiled, tmp_path)
+        path = artifact_path(tmp_path, compiled.key)
+        raw = path.read_bytes()
+        assert b"repro.kernels.native" in raw
+        # same length keeps every pickle frame and length prefix valid
+        path.write_bytes(raw.replace(b"repro.kernels.native",
+                                     b"repro.kernels.gone00"))
+        with pytest.raises(ArtifactValidationError, match="unreadable"):
+            load_artifact(tmp_path, compiled.key)
+        cache = CompileCache(cache_dir=tmp_path)
+        rebuilt = cache.get_or_compile(dfa, profiling=FAST)
+        assert rebuilt.partition == compiled.partition
+        stats = cache.stats()
+        assert stats["invalid_disk_entries"] == 1
+        assert stats["builds"] == 1
+        # the rebuild overwrote the stale file with a loadable one
+        assert load_artifact(tmp_path, compiled.key) is not None
+
     def test_dense_tables_survive_round_trip(self, tmp_path):
         dfa = _random_dfa()
-        compiled = compile_dfa(dfa, profiling=FAST, backend="dense")
-        assert compiled._dense is not None  # eager for resolved "dense"
+        compiled = compile_dfa(dfa, profiling=FAST, backend="native")
+        # eager for resolved "native"; built on demand when the library
+        # is absent and "native" resolved to lockstep
+        compiled.dense_tables()
+        assert compiled._dense is not None
         save_artifact(compiled, tmp_path)
         loaded = load_artifact(tmp_path, compiled.key, dfa.fingerprint)
         assert loaded._dense is not None
@@ -264,7 +291,7 @@ def _functional(run):
 
 
 class TestScanEquivalence:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense", "prefilter"])
+    @pytest.mark.parametrize("backend", ["python", "lockstep", "native", "prefilter"])
     def test_cold_warm_disk_bit_identical(self, backend, tmp_path):
         dfa = _random_dfa(seed=21, n_states=24, n_symbols=12)
         syms = _symbols(dfa, n=6000)
@@ -299,7 +326,7 @@ class TestScanEquivalence:
         assert _functional(run) == _functional(reference)
 
     @given(seed=st.integers(0, 2**16), backend=st.sampled_from(
-        ["python", "lockstep", "bitset", "dense", "prefilter"]))
+        ["python", "lockstep", "native", "prefilter"]))
     @settings(max_examples=12, deadline=None)
     def test_property_cold_warm_disk_identical(self, seed, backend, tmp_path_factory):
         dfa = _random_dfa(seed=seed, n_states=10, n_symbols=5)

@@ -122,7 +122,7 @@ class TestByteView:
 
 class TestScanEquivalence:
     @pytest.mark.parametrize(
-        "backend", ["python", "lockstep", "dense", "prefilter", "auto"]
+        "backend", ["python", "lockstep", "native", "prefilter", "auto"]
     )
     def test_mmap_equals_bytes(self, payload_file, literal_dfa, backend):
         path, data = payload_file
@@ -142,7 +142,7 @@ class TestScanEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_hypothesis_bytes_vs_view(self, literal_dfa, data, n_segments):
         partition = StatePartition.trivial(literal_dfa.num_states)
-        for backend in ("dense", "prefilter"):
+        for backend in ("native", "prefilter"):
             want = software_cse_scan(
                 literal_dfa, data, partition,
                 n_segments=n_segments, backend=backend,
@@ -161,14 +161,14 @@ class TestPooledMmapDispatch:
         path, data = payload_file
         partition = StatePartition.trivial(literal_dfa.num_states)
         want = software_cse_scan(
-            literal_dfa, data, partition, n_segments=4, backend="dense"
+            literal_dfa, data, partition, n_segments=4, backend="native"
         ).final_state
         with obs.using() as registry:
             with segment_pool(literal_dfa, max_workers=2) as pool:
                 with open_input(path) as view:
                     run = software_cse_scan(
                         literal_dfa, view, partition, n_segments=4,
-                        backend="dense", executor=pool,
+                        backend="native", executor=pool,
                     )
             snapshot = registry.snapshot()
         assert run.final_state == want
@@ -187,11 +187,11 @@ class TestPooledMmapDispatch:
             with segment_pool(literal_dfa, max_workers=2) as pool:
                 run = software_cse_scan(
                     literal_dfa, data, partition, n_segments=4,
-                    backend="dense", executor=pool,
+                    backend="native", executor=pool,
                 )
             snapshot = registry.snapshot()
         names = {m["name"]: m for m in snapshot["metrics"]}
         assert "software_mmap_scans_total" not in names
         assert run.final_state == software_cse_scan(
-            literal_dfa, data, partition, n_segments=4, backend="dense"
+            literal_dfa, data, partition, n_segments=4, backend="native"
         ).final_state

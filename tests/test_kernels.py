@@ -10,11 +10,10 @@ from repro.engines.base import even_boundaries, stack_segments
 from repro.kernels import (
     BACKENDS,
     KERNEL_BACKENDS,
-    BitsetTables,
+    native_available,
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.bitset import pack_bool, unpack_words
 from repro.software import (
     dfa_fingerprint,
     run_segment,
@@ -42,39 +41,6 @@ def check_backends_match_python(dfa, partition, segments):
         assert len(functions) == len(reference)
         for ref, fn in zip(reference, functions):
             assert_functions_equal(ref, fn)
-
-
-class TestPacking:
-    def test_roundtrip(self, rng):
-        bits = rng.random((6, 70)) > 0.5
-        words = pack_bool(bits)
-        assert words.dtype == np.uint64
-        assert words.shape == (6, 2)
-        assert np.array_equal(unpack_words(words, 70), bits)
-
-    def test_single_word(self):
-        bits = np.zeros(3, dtype=bool)
-        bits[1] = True
-        words = pack_bool(bits)
-        assert words.shape == (1,)
-        assert int(words[0]) == 2
-
-
-class TestBitsetTables:
-    def test_step_matches_set_step(self, small_ruleset_dfa, rng):
-        dfa = small_ruleset_dfa
-        tables = BitsetTables(dfa)
-        states = np.unique(rng.integers(0, dfa.num_states, size=5))
-        mask = tables.mask_from_states(states)
-        for sym in (ord("c"), ord("a"), ord("x")):
-            nxt, sizes = tables.step_masks(
-                mask[None, :], np.asarray([sym])
-            )
-            want = dfa.set_step(states.astype(np.int64), sym)
-            got = tables.states_from_mask(nxt[0])
-            assert got.tolist() == want.tolist()
-            assert int(sizes[0]) == want.size
-            mask, states = nxt[0], want
 
 
 class TestBatchEquivalence:
@@ -119,7 +85,7 @@ class TestBatchEquivalence:
         segments = [np.array([1, 1, 1, 1])]
         partition = StatePartition.trivial(3)
         check_backends_match_python(dfa, partition, segments)
-        functions = run_segments_batch(dfa, partition, segments, "bitset")
+        functions = run_segments_batch(dfa, partition, segments, "native")
         assert functions[0].outcomes[0].converged
         assert functions[0].outcomes[0].state == 2
 
@@ -134,7 +100,14 @@ class TestBatchEquivalence:
             )
 
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="native library not loadable here"
+)
+
+
 class TestDenseKernel:
+    """The dense frontier, now realized only by the compiled native tier."""
+
     def test_state_dtype_narrowing(self):
         from repro.kernels import dense_state_dtype
 
@@ -164,46 +137,48 @@ class TestDenseKernel:
         reference = [run_segment(random_dfa_8, partition, s)[0]
                      for s in segments]
         functions = run_segments_batch(
-            random_dfa_8, partition, segments, backend="dense", stride=stride
+            random_dfa_8, partition, segments, backend="native", stride=stride
         )
         for ref, fn in zip(reference, functions):
             assert_functions_equal(ref, fn)
 
     def test_invalid_stride_rejected(self, random_dfa_8):
-        from repro.kernels.dense import run_segments_dense
+        from repro.kernels.native import run_segments_native
 
         with pytest.raises(ValueError):
-            run_segments_dense(
+            run_segments_native(
                 random_dfa_8, StatePartition.trivial(8),
                 [np.array([0])], stride=0,
             )
 
+    @needs_native
     def test_uniform_segment_degrades(self):
         # symbol 1 is absorbing: the whole frontier collapses to the sink,
         # after which the segment leaves the dense gather
-        from repro.kernels.dense import run_segments_dense
+        from repro.kernels.native import run_segments_native
 
         table = np.array([[1, 2, 0], [2, 2, 2]], dtype=np.int32)
         dfa = Dfa(table, 0, [1])
         partition = StatePartition.from_labels([0, 0, 1])
         segment = np.array([1] + [0] * 200, dtype=np.int64)
-        grid, stats = run_segments_dense(
+        grid, stats = run_segments_native(
             dfa, partition, [segment], stride=1
         )
         assert stats["degraded_segments"] == 1
-        assert stats["dense_positions"] < segment.size
+        assert stats["positions"] < segment.size
         assert all(o.converged for o in grid[0])
         want, _ = run_segment(dfa, partition, segment)
         for got, ref in zip(grid[0], want.outcomes):
             assert got.state == ref.state
             assert np.array_equal(got.states, ref.states)
 
+    @needs_native
     def test_adaptive_stride_checks_less_than_every_position(self, rng):
-        from repro.kernels.dense import run_segments_dense
+        from repro.kernels.native import run_segments_native
 
         dfa = cycle_dfa(7)  # permutation: never converges, stride grows
         segments = [rng.integers(0, 2, size=4000)]
-        _, stats = run_segments_dense(
+        _, stats = run_segments_native(
             dfa, StatePartition.trivial(7), segments
         )
         assert stats["stride_checks"] < stats["positions"] // 8
@@ -248,15 +223,17 @@ class TestStackSegments:
 
 
 class TestResolveBackend:
-    def test_explicit_passthrough(self, random_dfa_8):
-        from repro.kernels import native_available
+    def test_backend_set(self):
+        assert BACKENDS == ("python", "lockstep", "native", "prefilter")
+        assert KERNEL_BACKENDS == ("lockstep", "native", "prefilter")
 
+    def test_explicit_passthrough(self, random_dfa_8):
         for backend in BACKENDS:
             expected = backend
             if backend == "native" and not native_available():
                 # the compiled tier is optional: an explicit request on a
-                # toolchain-less host degrades to the dense kernel
-                expected = "dense"
+                # toolchain-less host degrades to lockstep
+                expected = "lockstep"
             assert resolve_backend(random_dfa_8, backend) == expected
 
     def test_unknown_rejected(self, random_dfa_8):
@@ -275,27 +252,25 @@ class TestResolveBackend:
         assert resolve_backend(dfa, "auto", None, 16) == "python"
 
     def test_wide_sets_pick_dense_below_crossover(self, rng):
-        from repro.kernels import native_available
-
+        # the dense frontier is the native tier; lockstep without it
         dfa = random_dfa(64, 8, rng)
         partition = StatePartition.from_labels([i % 2 for i in range(64)])
-        expected = "native" if native_available() else "dense"
+        expected = "native" if native_available() else "lockstep"
         assert resolve_backend(dfa, None, partition, 16) == expected
 
     def test_wide_sets_pick_lockstep_above_crossover(self, rng):
-        from repro.kernels import DENSE_MAX_STATES
+        from repro.kernels import NATIVE_MAX_STATES
 
-        n = DENSE_MAX_STATES * 2
+        n = NATIVE_MAX_STATES * 2
         dfa = random_dfa(n, 4, rng)
         partition = StatePartition.from_labels([i % 2 for i in range(n)])
         assert resolve_backend(dfa, None, partition, 16) == "lockstep"
 
     def test_many_flows_pick_dense(self, rng):
-        from repro.kernels import native_available
-
+        # the dense frontier is the native tier; lockstep without it
         dfa = random_dfa(16, 4, rng)
         partition = StatePartition.discrete(16)
-        expected = "native" if native_available() else "dense"
+        expected = "native" if native_available() else "lockstep"
         assert resolve_backend(dfa, None, partition, 16) == expected
 
     def test_tiny_workload_stays_python(self, random_dfa_8):
@@ -419,7 +394,7 @@ class TestSegmentPool:
         with segment_pool(dfa, 2) as executor:
             run = software_cse_scan(
                 dfa, word, StatePartition.trivial(6),
-                n_segments=4, executor=executor, backend="bitset",
+                n_segments=4, executor=executor, backend="native",
             )
         assert run.final_state == dfa.run(word)
 

@@ -23,7 +23,7 @@ from repro.kernels import (
     resolve_backend,
     run_segments_batch,
 )
-from repro.kernels.dense import run_segments_dense
+from repro.kernels.lockstep import run_segments_lockstep
 from repro.kernels.native import (
     ENV_DISABLE,
     native_build_info,
@@ -72,16 +72,17 @@ class TestEquivalence:
     def test_matches_dense_across_dtypes_and_strides(
         self, rng, n_states, alphabet, stride
     ):
+        """The native dense frontier matches lockstep for every dense-table
+        dtype (uint8 and uint16 here) and collapse-check stride."""
         dfa = random_dfa(n_states, alphabet, rng)
         partition = StatePartition.discrete(n_states)
         segments = [
             rng.integers(0, alphabet, size=k) for k in (0, 3, 500, 1, 250)
         ]
-        g1, s1 = run_segments_dense(dfa, partition, segments, stride=stride)
+        g1, s1 = run_segments_lockstep(dfa, partition, segments)
         g2, s2 = run_segments_native(dfa, partition, segments, stride=stride)
         grids_equal(g1, g2)
         assert s1["collapses"] == s2["collapses"]
-        assert s1["positions"] == s2["positions"]
 
     @needs_native
     def test_matches_interpreter_on_coarse_partition(self, rng):
@@ -137,17 +138,18 @@ class TestDegradation:
         dfa = random_dfa(64, 8, rng)
         partition = StatePartition.discrete(64)
         with obs.using() as registry:
-            assert resolve_backend(dfa, "native", partition, 16) == "dense"
+            assert resolve_backend(dfa, "native", partition, 16) == "lockstep"
         counter = registry.get(
             "kernels_backend_resolved_total",
-            requested="native", backend="dense", reason="native-unavailable",
+            requested="native", backend="lockstep",
+            reason="native-unavailable",
         )
         assert counter is not None and counter.value == 1
 
     def test_auto_never_picks_native_when_absent(self, rng, no_native):
         dfa = random_dfa(64, 8, rng)
         partition = StatePartition.discrete(64)
-        assert resolve_backend(dfa, None, partition, 16) == "dense"
+        assert resolve_backend(dfa, None, partition, 16) == "lockstep"
 
     def test_unavailable_reason_is_reported(self, no_native):
         assert not native_available()
@@ -162,7 +164,7 @@ class TestDegradation:
             got = run_segments_batch(
                 dfa, partition, segments, backend="native"
             )
-        want = run_segments_batch(dfa, partition, segments, backend="dense")
+        want = run_segments_batch(dfa, partition, segments, backend="lockstep")
         for a, b in zip(want, got):
             for oa, ob in zip(a.outcomes, b.outcomes):
                 assert oa.converged == ob.converged
@@ -170,8 +172,8 @@ class TestDegradation:
                 assert np.array_equal(oa.states, ob.states)
         fallbacks = registry.get("kernels_native_fallbacks_total")
         assert fallbacks is not None and fallbacks.value == 1
-        # the work ran (and was recorded) as the dense kernel
-        assert registry.get("kernels_positions_total", backend="dense")
+        # the work ran (and was recorded) as the lockstep kernel
+        assert registry.get("kernels_positions_total", backend="lockstep")
 
     def test_scan_explicit_native_degrades(self, rng, no_native):
         dfa = random_dfa(32, 8, rng)
@@ -180,7 +182,7 @@ class TestDegradation:
         run = software_cse_scan(
             dfa, word, partition, n_segments=4, backend="native"
         )
-        assert run.backend == "dense"
+        assert run.backend == "lockstep"
         assert run.requested_backend == "native"
         assert run.final_state == dfa.run(word)
 
@@ -249,14 +251,14 @@ class TestCertification:
         compiled = compile_dfa(dfa, backend="native", n_segments=8)
         assert verify_compiled(compiled) == []
 
-    def test_native_to_dense_not_a_k106_contradiction(self, rng, no_native):
+    def test_native_to_lockstep_not_a_k106_contradiction(self, rng, no_native):
         from repro.check import verify_compiled
         from repro.compilecache import compile_dfa
 
         dfa = random_dfa(16, 4, rng)
         compiled = compile_dfa(dfa, backend="native", n_segments=8)
         assert compiled.requested_backend == "native"
-        assert compiled.backend == "dense"
+        assert compiled.backend == "lockstep"
         assert not [
             d for d in verify_compiled(compiled) if d.code == "K106"
         ]
@@ -276,9 +278,10 @@ class TestObservability:
         segments = [rng.integers(0, 8, size=500) for _ in range(4)]
         with obs.using() as registry:
             run_segments_batch(dfa, partition, segments, backend="native")
+        # symbols consumed, summed over the 4 segments
         assert registry.get(
             "kernels_positions_total", backend="native"
-        ).value == 500
+        ).value == 2000
         assert registry.get("kernels_native_positions_total").value > 0
         assert registry.get("kernels_native_stride_checks_total").value > 0
 

@@ -133,7 +133,7 @@ class TestNoopBitIdentical:
         assert plain.reexec_segments == instrumented.reexec_segments
         assert plain.backend == instrumented.backend == "lockstep"
 
-    @pytest.mark.parametrize("backend", ["lockstep", "bitset", "dense"])
+    @pytest.mark.parametrize("backend", ["lockstep", "native"])
     def test_kernel_outcomes_identical(self, dfa, word, backend):
         partition = StatePartition.discrete(dfa.num_states)
         segments = [word[:2000], word[2000:4000], word[4000:]]
@@ -235,15 +235,15 @@ class TestBackendRecording:
                                 backend="auto")
         assert run.requested_backend == "auto"
         assert run.backend in (
-            "python", "lockstep", "dense", "native", "prefilter"
+            "python", "lockstep", "native", "prefilter"
         )
 
     def test_explicit_backend_passthrough(self, dfa, word):
         partition = StatePartition.trivial(dfa.num_states)
         run = software_cse_scan(dfa, word, partition, n_segments=8,
-                                backend="bitset")
-        assert run.requested_backend == "bitset"
-        assert run.backend == "bitset"
+                                backend="lockstep")
+        assert run.requested_backend == "lockstep"
+        assert run.backend == "lockstep"
 
     def test_resolution_counter(self, dfa):
         with obs.using() as registry:

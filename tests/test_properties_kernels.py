@@ -1,21 +1,50 @@
 """Property-based tests: the vectorized kernels are exact.
 
-Every backend of the software CSE path must produce bit-identical
-segment transition functions on arbitrary machines, inputs and
-partitions, and the end-to-end scan must equal the sequential oracle.
-The bitset step is additionally diffed against the frozenset reference
-machine (:class:`repro.automata.onehot.PySetAutomaton`).
+Every backend of the software CSE path (python, lockstep, native,
+prefilter) must produce bit-identical segment transition functions on
+arbitrary machines, inputs and partitions, and the end-to-end scan must
+equal the sequential oracle — both where the native library loads and
+with it forced absent (native then runs as lockstep, and the prefilter's
+unproven segments as lockstep or the interpreted walk).
 """
+
+import os
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.dfa import Dfa
-from repro.automata.onehot import PySetAutomaton
 from repro.core.partition import StatePartition
 from repro.engines.base import even_boundaries
-from repro.kernels import KERNEL_BACKENDS, BitsetTables, run_segments_batch
+from repro.kernels import KERNEL_BACKENDS, run_segments_batch
+from repro.kernels.native import ENV_DISABLE, reset_native
 from repro.software import run_segment, software_cse_scan
+
+
+@contextmanager
+def _native_disabled():
+    """Force the native library absent, restoring the loader after."""
+    saved = os.environ.get(ENV_DISABLE)
+    os.environ[ENV_DISABLE] = "0"
+    reset_native()
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[ENV_DISABLE]
+        else:
+            os.environ[ENV_DISABLE] = saved
+        reset_native()
+
+
+@contextmanager
+def _as_is():
+    yield
+
+
+#: run each property with the native library as found, then forced absent
+NATIVE_MODES = (_as_is, _native_disabled)
 
 
 @st.composite
@@ -63,22 +92,29 @@ class TestBackendEquivalence:
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
         reference = [run_segment(dfa, partition, s)[0] for s in segments]
-        for backend in KERNEL_BACKENDS:
-            functions = run_segments_batch(dfa, partition, segments, backend)
-            for ref, fn in zip(reference, functions):
-                assert_functions_equal(ref, fn)
+        for mode in NATIVE_MODES:
+            with mode():
+                for backend in KERNEL_BACKENDS:
+                    functions = run_segments_batch(
+                        dfa, partition, segments, backend
+                    )
+                    for ref, fn in zip(reference, functions):
+                        assert_functions_equal(ref, fn)
 
     @given(dfa_word_partition(), st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_scan_matches_oracle_all_backends(self, dwp, n_segments):
         dfa, word, partition = dwp
         want = dfa.run(word)
-        for backend in ("python", "lockstep", "bitset", "dense", "native",
-                        "prefilter", "auto"):
-            run = software_cse_scan(
-                dfa, word, partition, n_segments=n_segments, backend=backend
-            )
-            assert run.final_state == want
+        for mode in NATIVE_MODES:
+            with mode():
+                for backend in ("python", "lockstep", "native", "prefilter",
+                                "auto"):
+                    run = software_cse_scan(
+                        dfa, word, partition, n_segments=n_segments,
+                        backend=backend,
+                    )
+                    assert run.final_state == want
 
     @given(dfas(min_states=1, max_states=1), st.lists(st.integers(0, 0), max_size=40))
     @settings(max_examples=20, deadline=None)
@@ -121,7 +157,8 @@ class TestBackendEquivalence:
 
 
 class TestDenseEquivalence:
-    """The dense-frontier kernel is exact for every stride and dtype."""
+    """The dense frontier (native, and the prefilter's fallback to it) is
+    exact for every stride and table dtype, with and without the library."""
 
     @given(dfa_word_partition(), st.integers(1, 5),
            st.sampled_from([1, 7, 64]))
@@ -131,14 +168,16 @@ class TestDenseEquivalence:
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
         reference = [run_segment(dfa, partition, s)[0] for s in segments]
-        # the native tier shares the dense contract: every stride places
-        # collapse checks differently yet the outcomes never move
-        for backend in ("dense", "native"):
-            functions = run_segments_batch(
-                dfa, partition, segments, backend, stride=stride
-            )
-            for ref, fn in zip(reference, functions):
-                assert_functions_equal(ref, fn)
+        # every stride places collapse checks differently yet the
+        # outcomes never move
+        for mode in NATIVE_MODES:
+            with mode():
+                for backend in ("native", "prefilter"):
+                    functions = run_segments_batch(
+                        dfa, partition, segments, backend, stride=stride
+                    )
+                    for ref, fn in zip(reference, functions):
+                        assert_functions_equal(ref, fn)
 
     @given(st.integers(0, 2**31 - 1), st.integers(2, 4),
            st.sampled_from([1, 7, 64]))
@@ -160,55 +199,41 @@ class TestDenseEquivalence:
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
         reference = [run_segment(dfa, partition, s)[0] for s in segments]
-        for backend in ("dense", "native"):
-            functions = run_segments_batch(
-                dfa, partition, segments, backend, stride=stride
-            )
-            for ref, fn in zip(reference, functions):
-                assert_functions_equal(ref, fn)
+        for mode in NATIVE_MODES:
+            with mode():
+                for backend in ("lockstep", "native", "prefilter"):
+                    functions = run_segments_batch(
+                        dfa, partition, segments, backend, stride=stride
+                    )
+                    for ref, fn in zip(reference, functions):
+                        assert_functions_equal(ref, fn)
 
     @given(dfa_word_partition(), st.integers(2, 4))
     @settings(max_examples=25, deadline=None)
     def test_collapse_counter_parity(self, dwp, n_segments):
         # every backend must report the same number of collapsed
-        # convergence sets (positions_total is *not* invariant: the
-        # interpreted path sums per-segment lengths, the batched kernels
-        # count the padded maximum)
+        # convergence sets and of positions (symbols consumed, summed
+        # over segments)
         from repro import obs
 
         dfa, word, partition = dwp
         bounds = even_boundaries(word.size, n_segments)
         segments = [word[a:b] for a, b in bounds]
-        from repro.kernels import native_available
-
-        backends = ["python", "lockstep", "dense"]
-        if native_available():
-            backends.append("native")
         counts = {}
-        for backend in backends:
+        for backend in ("python", "lockstep", "native"):
             with obs.using() as registry:
                 if backend == "python":
                     for s in segments:
                         run_segment(dfa, partition, s, backend="python")
                 else:
                     run_segments_batch(dfa, partition, segments, backend)
-            counts[backend] = registry.get(
-                "kernels_collapses_total", backend=backend
-            ).value
+            ran = backend
+            if backend == "native" and registry.get(
+                    "kernels_native_fallbacks_total") is not None:
+                ran = "lockstep"
+            counts[backend] = (
+                registry.get("kernels_collapses_total", backend=ran).value,
+                registry.get("kernels_positions_total", backend=ran).value,
+            )
         assert len(set(counts.values())) == 1, counts
-
-
-class TestBitsetVsReference:
-    @given(dfa_word_partition(max_len=60))
-    @settings(max_examples=40, deadline=None)
-    def test_bitset_step_matches_frozenset_machine(self, dwp):
-        dfa, word, partition = dwp
-        tables = BitsetTables(dfa)
-        reference = PySetAutomaton(dfa)
-        for block in partition.block_arrays():
-            want, _ = reference.run_set(block.tolist(), word)
-            mask = tables.mask_from_states(block)
-            for sym in word.tolist():
-                mask = tables.step_masks(mask[None, :], np.asarray([sym]))[0][0]
-            got = tables.states_from_mask(mask)
-            assert set(got.tolist()) == set(want)
+        assert counts["python"][1] == word.size

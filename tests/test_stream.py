@@ -130,7 +130,7 @@ class TestFleetScanner:
 
 
 class TestStreamScannerBackends:
-    @pytest.mark.parametrize("backend", ["python", "lockstep", "bitset", "dense", "prefilter", "auto"])
+    @pytest.mark.parametrize("backend", ["python", "lockstep", "native", "prefilter", "auto"])
     def test_backend_equals_reference(self, dfa, backend):
         reference = StreamScanner(dfa)
         scanner = StreamScanner(dfa, backend=backend, min_parallel_chunk=256)
@@ -140,7 +140,7 @@ class TestStreamScannerBackends:
             scanner.feed(data[i:i + 700])
         assert scanner.finish() == reference.finish()
         assert scanner.backend in (
-            "python", "lockstep", "bitset", "dense", "native", "prefilter"
+            "python", "lockstep", "native", "prefilter"
         )
 
     def test_resolved_via_shared_helper(self, dfa):
